@@ -220,21 +220,38 @@ class PDQNAgent(PamdpAgent):
         q_all = self.q_net(current, future, accels)
         return -q_all.sum(axis=1).mean()                         # Eq. 23
 
-    def _update(self, batch: Batch) -> dict[str, float]:
+    def _q_step(self, batch: Batch) -> nn.Tensor:
+        """One Eq. 22 step on the Q network; returns the loss."""
         self.opt_q.zero_grad()
         self.opt_x.zero_grad()
         q_loss = self._q_loss(batch)
         q_loss.backward()
-        nn.clip_grad_norm(self.q_net.parameters(), 10.0)
+        nn.clip_grad_norm(self.opt_q.parameters, 10.0)
         self.opt_q.step()
+        return q_loss
 
+    def _x_step(self, batch: Batch) -> nn.Tensor:
+        """One Eq. 23 step on the x network; returns the loss.
+
+        Q is frozen through forward and backward: the gradient reaches x
+        through Q's input, and backward computes no Q-weight gradients
+        that the next step would discard.
+        """
         self.opt_q.zero_grad()
         self.opt_x.zero_grad()
-        x_loss = self._x_loss(batch)
-        x_loss.backward()
-        nn.clip_grad_norm(self.x_net.parameters(), 10.0)
+        self.q_net.requires_grad_(False)
+        try:
+            x_loss = self._x_loss(batch)
+            x_loss.backward()
+        finally:
+            self.q_net.requires_grad_(True)
+        nn.clip_grad_norm(self.opt_x.parameters, 10.0)
         self.opt_x.step()
+        return x_loss
 
+    def _update(self, batch: Batch) -> dict[str, float]:
+        q_loss = self._q_step(batch)
+        x_loss = self._x_step(batch)
         self.q_target.soft_update_from(self.q_net, self.tau)
         self.x_target.soft_update_from(self.x_net, self.tau)
         return {"q_loss": q_loss.item(), "x_loss": x_loss.item()}
@@ -259,23 +276,11 @@ class PQPAgent(PDQNAgent):
         self._updates += 1
         losses = {"q_loss": 0.0, "x_loss": 0.0}
         if phase_q:
-            self.opt_q.zero_grad()
-            self.opt_x.zero_grad()
-            q_loss = self._q_loss(batch)
-            q_loss.backward()
-            nn.clip_grad_norm(self.q_net.parameters(), 10.0)
-            self.opt_q.step()
+            losses["q_loss"] = self._q_step(batch).item()
             self.q_target.soft_update_from(self.q_net, self.tau)
-            losses["q_loss"] = q_loss.item()
         else:
-            self.opt_q.zero_grad()
-            self.opt_x.zero_grad()
-            x_loss = self._x_loss(batch)
-            x_loss.backward()
-            nn.clip_grad_norm(self.x_net.parameters(), 10.0)
-            self.opt_x.step()
+            losses["x_loss"] = self._x_step(batch).item()
             self.x_target.soft_update_from(self.x_net, self.tau)
-            losses["x_loss"] = x_loss.item()
         return losses
 
 
@@ -368,15 +373,21 @@ class PDDPGAgent(PamdpAgent):
         diff = q_values.reshape(len(batch)) - nn.Tensor(targets)
         critic_loss = (diff * diff).mean() * 0.5
         critic_loss.backward()
-        nn.clip_grad_norm(self.critic.parameters(), 10.0)
+        nn.clip_grad_norm(self.opt_critic.parameters, 10.0)
         self.opt_critic.step()
 
         self.opt_critic.zero_grad()
         self.opt_actor.zero_grad()
-        actor_action = self.actor(current, future)
-        actor_loss = -self.critic(current, future, actor_action).mean()
-        actor_loss.backward()
-        nn.clip_grad_norm(self.actor.parameters(), 10.0)
+        # The critic is frozen so backward reaches the actor without
+        # critic-weight gradients nobody reads.
+        self.critic.requires_grad_(False)
+        try:
+            actor_action = self.actor(current, future)
+            actor_loss = -self.critic(current, future, actor_action).mean()
+            actor_loss.backward()
+        finally:
+            self.critic.requires_grad_(True)
+        nn.clip_grad_norm(self.opt_actor.parameters, 10.0)
         self.opt_actor.step()
 
         self.critic_target.soft_update_from(self.critic, self.tau)

@@ -228,12 +228,13 @@ def _apply(agent, stored: dict[str, np.ndarray], rng_states: dict) -> None:
             value.load_state_dict(state)
         elif isinstance(value, Adam):
             value._step_count = int(stored[f"opt.{name}.step"])
+            # In place: the moments are views of the optimizer's flat state.
             for index in range(len(value._m)):
-                value._m[index] = stored[f"opt.{name}.m.{index}"].copy()
-                value._v[index] = stored[f"opt.{name}.v.{index}"].copy()
+                value._m[index][...] = stored[f"opt.{name}.m.{index}"]
+                value._v[index][...] = stored[f"opt.{name}.v.{index}"]
         elif isinstance(value, SGD):
             for index in range(len(value._velocity)):
-                value._velocity[index] = stored[f"opt.{name}.vel.{index}"].copy()
+                value._velocity[index][...] = stored[f"opt.{name}.vel.{index}"]
         elif isinstance(value, ReplayBuffer):
             for attr in _BUFFER_ARRAYS:
                 getattr(value, attr)[...] = stored[f"buffer.{name}.{attr}"]

@@ -28,42 +28,38 @@ def flat_parameter_size(modules: "list[Module] | tuple[Module, ...]") -> int:
 def write_flat_parameters(modules, out: np.ndarray) -> None:
     """Serialize all parameters of ``modules`` into ``out`` in place.
 
-    The layout is positional -- module order as given, parameters in
-    ``named_parameters`` (depth-first) order within each module -- so a
-    reader holding structurally identical modules in the same order can
-    reconstruct without any name metadata.  Writing in place lets the
-    caller target shared memory (the zero-copy policy broadcast of
-    ``repro.train``) without allocating per publish.
+    The layout is positional -- module order as given, each module's
+    arena (parameters in ``named_parameters`` depth-first order) within
+    it -- so a reader holding structurally identical modules in the same
+    order can reconstruct without any name metadata.  Writing in place
+    lets the caller target shared memory (the zero-copy policy broadcast
+    of ``repro.train``) without allocating per publish.
     """
     offset = 0
-    for module in modules:
-        for _, parameter in module.named_parameters():
-            size = parameter.data.size
-            out[offset:offset + size] = parameter.data.reshape(-1)
-            offset += size
-    if offset != out.size:
-        raise ValueError(
-            f"flat vector has {out.size} slots, modules hold {offset} "
-            f"parameters")
+    for arena in _arenas(modules, out.size):
+        out[offset:offset + arena.size] = arena
+        offset += arena.size
 
 
 def read_flat_parameters(modules, flat: np.ndarray) -> None:
     """Load a :func:`write_flat_parameters` vector back into ``modules``.
 
-    Parameter arrays are overwritten in place (``data[...] = ...``), so
-    optimizer references and views stay valid.
+    Each arena is overwritten in place, so optimizer references and
+    views stay valid.
     """
     offset = 0
-    for module in modules:
-        for _, parameter in module.named_parameters():
-            size = parameter.data.size
-            chunk = flat[offset:offset + size]
-            parameter.data[...] = chunk.reshape(parameter.data.shape)
-            offset += size
-    if offset != flat.size:
+    for arena in _arenas(modules, flat.size):
+        arena[...] = flat[offset:offset + arena.size]
+        offset += arena.size
+
+
+def _arenas(modules, slots: int) -> list[np.ndarray]:
+    arenas = [module.arena for module in modules]
+    total = sum(arena.size for arena in arenas)
+    if total != slots:
         raise ValueError(
-            f"flat vector has {flat.size} slots, modules hold {offset} "
-            f"parameters")
+            f"flat vector has {slots} slots, modules hold {total} parameters")
+    return arenas
 
 
 def atomic_savez(path: str | os.PathLike, arrays: dict[str, np.ndarray]) -> Path:

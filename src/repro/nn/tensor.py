@@ -201,6 +201,10 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_op", "_ctx", "_parents",
                  "_done")
 
+    #: Arena slot of a parameter packed into a module's arena (see
+    #: ``repro.nn.module``); ``None`` for every other tensor.
+    _slot = None
+
     def __init__(self, data, requires_grad: bool = False) -> None:
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
@@ -348,7 +352,13 @@ class Tensor:
             # is adopted as the gradient buffer outright -- no pool copy.
             buffer = parent.grad
             if buffer is None:
-                if type(parent_grad) is np.ndarray and parent_grad.base is None \
+                slot = parent._slot
+                if slot is not None:
+                    # Arena parameters keep gradients in place, so the
+                    # optimizers see them as one contiguous buffer.
+                    np.copyto(slot.grad, parent_grad)
+                    parent.grad = slot.grad
+                elif type(parent_grad) is np.ndarray and parent_grad.base is None \
                         and parent_grad is not out_grad \
                         and parent_grad.dtype == _FLOAT64:
                     parent.grad = parent_grad

@@ -111,6 +111,46 @@ class TestPDDPG:
                    for key, value in agent.critic.state_dict().items())
 
 
+def _twin_update(build, frozen, trained):
+    """Run one update on two identical agents, the second with the
+    ``frozen`` network's freeze disabled (the unpruned tape)."""
+    twins = []
+    for _ in range(2):
+        rng = np.random.default_rng(0)
+        agent = build(rng)
+        fill_buffer(agent, rng, count=32)
+        twins.append(agent)
+    pruned, unpruned = twins
+    unfrozen = getattr(unpruned, frozen)
+    unfrozen.requires_grad_ = lambda flag=True: unfrozen
+    batch = pruned.buffer.sample(pruned.batch_size)
+    pruned._update(batch)
+    unpruned._update(batch)
+    assert all(p.grad is None for p in getattr(pruned, frozen).parameters())
+    assert any(p.grad is not None for p in unfrozen.parameters())
+    for mine, theirs in zip(getattr(pruned, trained).parameters(),
+                            getattr(unpruned, trained).parameters()):
+        np.testing.assert_array_equal(mine.grad, theirs.grad)
+    for name in (frozen, trained):
+        np.testing.assert_array_equal(getattr(pruned, name).arena,
+                                      getattr(unpruned, name).arena)
+
+
+class TestFrozenCriticBackward:
+    """The x/actor loss backpropagates through a frozen Q/critic: no
+    Q-weight gradients, and bitwise the same x/actor gradients."""
+
+    def test_pdqn_x_loss_leaves_q_without_grads(self):
+        _twin_update(lambda rng: PDQNAgent(branched=True, hidden_dim=16, warmup=16,
+                                           batch_size=16, rng=rng),
+                     frozen="q_net", trained="x_net")
+
+    def test_pddpg_actor_loss_leaves_critic_without_grads(self):
+        _twin_update(lambda rng: PDDPGAgent(hidden_dim=16, warmup=16,
+                                            batch_size=16, rng=rng),
+                     frozen="critic", trained="actor")
+
+
 class TestDRLSC:
     def test_maneuver_index_roundtrip(self):
         agent = DRLSCAgent(hidden_dim=8, rng=np.random.default_rng(0))
